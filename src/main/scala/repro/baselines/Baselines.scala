@@ -1,7 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.core.Model.OccurrenceRow
+import repro.core.Profiles
 
 /** Common plumbing for the comparison baselines (§VI-A.3).
   *
@@ -16,7 +17,7 @@ object Baselines {
   /** One paper as seen from a target name's ego-network. */
   final case class PaperRec(
       pid: Long,
-      coNames: Seq[String], // co-author names, target excluded
+      coNames: Seq[String], // co-author names, target excluded, sorted
       title: Seq[String],
       venue: String,
       year: Int,
@@ -30,31 +31,8 @@ object Baselines {
     def clusterName(papers: IndexedSeq[PaperRec]): Array[Int]
   }
 
-  /** (name, papers) groups for the given names (or all names with ≥ 2 papers
-    * when `onlyNames` is empty).
-    */
-  def nameGroups(
-      spark: SparkSession,
-      papers: DataFrame,
-      authorships: DataFrame,
-      onlyNames: Option[DataFrame],
-  ): DataFrame = {
-    val occ = authorships.select("pid", "name").distinct()
-    val restricted = onlyNames match {
-      case Some(names) => occ.join(names, Seq("name"))
-      case None        => occ
-    }
-    val coLists = authorships
-      .select("pid", "name")
-      .distinct()
-      .groupBy("pid")
-      .agg(collect_list("name").as("allNames"))
-    restricted
-      .join(papers.select("pid", "title", "venue", "year"), Seq("pid"))
-      .join(coLists, Seq("pid"))
-  }
-
-  /** Run a clusterer over every name group.
+  /** Run a clusterer over the papers of every name (restricted to
+    * `onlyNames` when given).
     *
     * @return (pid, name, cluster, nanosPerName) — `cluster` is globally
     *         unique across names; `nanos` is the per-name wall time, repeated
@@ -68,14 +46,12 @@ object Baselines {
       onlyNames: Option[DataFrame] = None,
   ): DataFrame = {
     import spark.implicits._
-    nameGroups(spark, papers, authorships, onlyNames)
-      .select("name", "pid", "title", "venue", "year", "allNames")
-      .as[(String, Long, Seq[String], String, Int, Seq[String])]
-      .groupByKey(_._1)
+    val occ = Profiles.occurrences(papers, authorships)
+    onlyNames.fold(occ)(names => occ.join(names, Seq("name")))
+      .as[OccurrenceRow]
+      .groupByKey(_.name)
       .flatMapGroups { (name, it) =>
-        val recs = it.map { case (_, pid, title, venue, year, allNames) =>
-          PaperRec(pid, allNames.filterNot(_ == name), title, venue, year)
-        }.toIndexedSeq.sortBy(_.pid)
+        val recs = it.map(o => PaperRec(o.pid, o.coNames, o.title, o.venue, o.year)).toIndexedSeq.sortBy(_.pid)
         val t0 = System.nanoTime()
         val labels = clusterer.clusterName(recs)
         val nanos = System.nanoTime() - t0

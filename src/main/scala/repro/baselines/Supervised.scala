@@ -1,8 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.Model.Metrics
+import repro.core.Profiles
 import repro.dblp.WordVectors
 import repro.util.{Rng, VectorOps}
 import Baselines.PaperRec
@@ -61,22 +61,16 @@ object Supervised {
       names: DataFrame,
   ): Array[LabeledPair] = {
     import spark.implicits._
-    val occ = authorships.select("pid", "name", "authorId").distinct().join(names, Seq("name"))
-    val coLists = authorships
-      .select("pid", "name")
-      .distinct()
-      .groupBy("pid")
-      .agg(collect_list("name").as("allNames"))
-    occ
-      .join(papers.select("pid", "title", "venue", "year"), Seq("pid"))
-      .join(coLists, Seq("pid"))
-      .select("name", "pid", "authorId", "title", "venue", "year", "allNames")
+    val truth = authorships.select("pid", "name", "authorId").distinct().join(names, Seq("name"))
+    Profiles.occurrences(papers, authorships)
+      .join(truth, Seq("pid", "name"))
+      .select("name", "pid", "authorId", "title", "venue", "year", "coNames")
       .as[(String, Long, Long, Seq[String], String, Int, Seq[String])]
       .groupByKey(_._1)
       .flatMapGroups { (name, it) =>
         val rows = it.toIndexedSeq.sortBy(_._2)
-        val recs = rows.map { case (_, pid, _, title, venue, year, allNames) =>
-          PaperRec(pid, allNames.filterNot(_ == name), title, venue, year)
+        val recs = rows.map { case (_, pid, _, title, venue, year, coNames) =>
+          PaperRec(pid, coNames, title, venue, year)
         }
         for {
           i <- rows.indices.iterator

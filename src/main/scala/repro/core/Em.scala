@@ -74,7 +74,7 @@ object Em {
 
     val his = Array.tabulate(k)(i => math.max(all.iterator.map(_(i)).max, 1e-9))
 
-    // Init responsibilities: pairs whose summed feature z-score is in the top
+    // Init responsibilities: pairs whose raw feature sum Σγ is in the top
     // (1 - initQuantile) start as likely-matched; known matched start at 1.
     val sums = all.map(_.sum)
     val sortedSums = sums.take(nFree).sorted

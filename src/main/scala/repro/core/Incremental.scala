@@ -30,30 +30,20 @@ object Incremental {
       .mapGroups { (cid, it) => Profiles.merge(cid, it.map(_._2).toSeq) }
   }
 
-  /** Isolated-vertex profile of one new paper occurrence. */
-  def newOccurrenceProfile(
-      pid: Long,
-      name: String,
-      title: Seq[String],
-      venue: String,
-      year: Int,
-      coNames: Seq[String],
+  /** Isolated-vertex profile `name#new<pid>` of every new (paper, name)
+    * occurrence: the batch profile fold applied to the occurrence alone.
+    */
+  def newProfiles(
+      spark: SparkSession,
+      newPapers: DataFrame,
+      newAuthorships: DataFrame,
       wlIters: Int,
-  ): VertexProfile = {
-    val vid = s"$name#new$pid"
-    val cs = coNames.distinct.sorted
-    val cliques =
-      (for (i <- cs.indices; j <- (i + 1) until cs.size) yield Profiles.encodeClique(cs(i), cs(j))).toSeq
-    VertexProfile(
-      vid = vid,
-      name = name,
-      pids = Seq(pid),
-      wordYears = title.map(w => (w, year)),
-      venues = Seq(venue),
-      years = Seq(year),
-      cliques = cliques,
-      wl = WlKernel.features(vid, Map.empty, Map.empty, wlIters),
-    )
+  ): Dataset[VertexProfile] = {
+    import spark.implicits._
+    Profiles.occurrences(newPapers, newAuthorships).as[OccurrenceRow].map { o =>
+      val vid = s"${o.name}#new${o.pid}"
+      Profiles.fold(vid, Seq(o)).copy(wl = WlKernel.features(vid, Map.empty, wlIters))
+    }
   }
 
   /** Judge every new (paper, name) occurrence.
@@ -74,22 +64,7 @@ object Incremental {
     val bModel = spark.sparkContext.broadcast(model)
     val bStats = spark.sparkContext.broadcast(stats)
 
-    val coLists = newAuthorships
-      .select("pid", "name")
-      .distinct()
-      .groupBy("pid")
-      .agg(collect_list("name").as("allNames"))
-    val newOcc = newAuthorships
-      .select("pid", "name")
-      .distinct()
-      .join(newPapers.select("pid", "title", "venue", "year"), Seq("pid"))
-      .join(coLists, Seq("pid"))
-      .as[(Long, String, Seq[String], String, Int, Seq[String])]
-      .map { case (pid, name, title, venue, year, allNames) =>
-        newOccurrenceProfile(pid, name, title, venue, year, allNames.filterNot(_ == name), wlIters)
-      }
-
-    newOcc
+    newProfiles(spark, newPapers, newAuthorships, wlIters)
       .groupByKey(_.name)
       .cogroup(gcnClusters.groupByKey(_.name)) { (name, newIt, clustIt) =>
         val clusters = clustIt.toArray

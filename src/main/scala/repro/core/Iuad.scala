@@ -64,7 +64,6 @@ object Iuad {
       .select("vid")
     val chosen = eligible.as[String].collect().toSet
     if (chosen.isEmpty) return Array.empty
-    val bChosen = spark.sparkContext.broadcast(chosen)
 
     val pseudoVp = scn.vertexPapers
       .filter(col("vid").isInCollection(chosen))
@@ -75,7 +74,7 @@ object Iuad {
     val pseudoScn = Scn(scn.vertices, scn.edges, pseudoVp, scn.neighborComp)
     val pseudo = Profiles
       .buildBase(spark, pseudoScn, papers, authorships)
-      .map(p => p.copy(wl = WlKernel.features(p.vid, Map.empty, Map.empty, cfg.wlIters)))
+      .map(p => p.copy(wl = WlKernel.features(p.vid, Map.empty, cfg.wlIters)))
       .collect()
 
     pseudo

@@ -6,25 +6,26 @@ import org.apache.spark.sql.DataFrame
   *
   * Vertex ids are strings: `"<name>#c<k>"` for the k-th SCR component of a
   * name, `"<name>#p<pid>"` for a singleton (one isolated vertex per
-  * (name, paper) occurrence — see DESIGN.md §5.8). Synthetic names never
-  * contain `#`, which keeps the ids self-describing and deterministic.
+  * (name, paper) occurrence — see DESIGN.md §5.8). A name may itself contain
+  * `#`: the name of a vid is the text before its last `#`, and code that
+  * has the name at hand carries it instead of parsing the vid.
   */
 object Model {
 
-  /** One (paper, name) occurrence from a co-author list. */
-  final case class Occurrence(pid: Long, name: String)
-
-  /** η-SCR edge between two names, a < b, with co-occurrence count. */
-  final case class ScrEdge(a: String, b: String, cnt: Long)
+  /** One (paper, name) occurrence with everything the pipeline reads about
+    * it: the paper's attributes and its other names, sorted.
+    */
+  final case class OccurrenceRow(
+      pid: Long,
+      name: String,
+      title: Seq[String],
+      venue: String,
+      year: Int,
+      coNames: Seq[String],
+  )
 
   /** For name `name`, SCR partner `nbr` lies in neighbour-component `comp`. */
   final case class NeighborComp(name: String, nbr: String, comp: Int)
-
-  /** SCN instance-level edge (between vertex ids). */
-  final case class ScnEdge(src: String, dst: String)
-
-  /** Assignment of a paper occurrence to an SCN vertex. */
-  final case class VertexPaper(vid: String, name: String, pid: Long)
 
   /** The stable collaboration network (Stage I output).
     *

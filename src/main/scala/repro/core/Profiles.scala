@@ -19,44 +19,54 @@ object Profiles {
   def encodeClique(y: String, z: String): String =
     if (y < z) s"$y$CliqueSep$z" else s"$z$CliqueSep$y"
 
-  /** All (vid, name, pid, title, venue, year, coNames) rows. */
-  private def joined(scn: Scn, papers: DataFrame, authorships: DataFrame): DataFrame = {
+  /** The occurrence table: one [[Model.OccurrenceRow]] per distinct
+    * (pid, name) of a paper in `papers`. Duplicate occurrences collapse, and
+    * `coNames` is the paper's other names, sorted. SCN profiles, the
+    * incremental judge and the baselines all read occurrences from here.
+    */
+  def occurrences(papers: DataFrame, authorships: DataFrame): DataFrame = {
     val occ = authorships.select("pid", "name").distinct()
-    val coNames = scn.vertexPapers
-      .join(occ.withColumnRenamed("name", "coName"), Seq("pid"))
-      .where(col("coName") =!= col("name"))
-      .groupBy("vid", "pid")
-      .agg(collect_list("coName").as("coNames"))
-    scn.vertexPapers
-      .join(papers, Seq("pid"))
-      .join(coNames, Seq("vid", "pid"), "left_outer")
+    val names = occ.groupBy("pid").agg(collect_list("name").as("names"))
+    occ
+      .join(papers.select("pid", "title", "venue", "year"), Seq("pid"))
+      .join(names, Seq("pid"))
       .select(
-        col("vid"), col("name"), col("pid"), col("title"), col("venue"), col("year"),
-        coalesce(col("coNames"), array().cast("array<string>")).as("coNames"),
+        col("pid"), col("name"), col("title"), col("venue"), col("year"),
+        array_sort(array_remove(col("names"), col("name"))).as("coNames"),
       )
+  }
+
+  /** The profile fold: a vertex's occurrence rows become its profile (wl left
+    * empty). Rows are taken in pid order, so `wordYears` — whose order feeds
+    * γ3's floating-point mean — does not depend on shuffle order.
+    */
+  def fold(vid: String, rows: Seq[OccurrenceRow]): VertexProfile = {
+    val byPid = rows.sortBy(_.pid)
+    VertexProfile(
+      vid = vid,
+      name = byPid.head.name,
+      pids = byPid.map(_.pid),
+      wordYears = byPid.flatMap(r => r.title.map(w => (w, r.year))),
+      venues = byPid.map(_.venue).sorted,
+      years = byPid.map(_.year).sorted,
+      cliques = byPid.flatMap { r =>
+        val cs = r.coNames
+        for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
+      }.distinct.sorted,
+      wl = Map.empty,
+    )
   }
 
   /** Profiles without WL features (wl left empty). */
   def buildBase(spark: SparkSession, scn: Scn, papers: DataFrame, authorships: DataFrame): Dataset[VertexProfile] = {
     import spark.implicits._
-    joined(scn, papers, authorships)
-      .as[(String, String, Long, Seq[String], String, Int, Seq[String])]
+    val occ = occurrences(papers, authorships)
+    scn.vertexPapers
+      .join(occ, Seq("pid", "name"))
+      .select(col("vid"), struct(occ.columns.map(col).toIndexedSeq: _*))
+      .as[(String, OccurrenceRow)]
       .groupByKey(_._1)
-      .mapGroups { (vid, it) =>
-        val rows = it.toArray
-        val name = rows.head._2
-        val pids = rows.map(_._3).toSeq.sorted
-        val wordYears = rows.flatMap { case (_, _, _, title, _, year, _) =>
-          title.map(w => (w, year))
-        }.toSeq
-        val venues = rows.map(_._5).toSeq.sorted
-        val years = rows.map(_._6).toSeq.sorted
-        val cliques = rows.flatMap { case (_, _, _, _, _, _, coNames) =>
-          val cs = coNames.distinct.sorted
-          for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
-        }.distinct.toSeq.sorted
-        VertexProfile(vid, name, pids, wordYears, venues, years, cliques, Map.empty)
-      }
+      .mapGroups((vid, it) => fold(vid, it.map(_._2).toSeq))
   }
 
   /** Attach WL features using the broadcast SCN adjacency. */
@@ -78,7 +88,7 @@ object Profiles {
     }
     val bAdj = spark.sparkContext.broadcast(adj)
     base.map { p =>
-      p.copy(wl = WlKernel.features(p.vid, bAdj.value, Map.empty, wlIters))
+      p.copy(wl = WlKernel.features(p.vid, bAdj.value, wlIters))
     }
   }
 

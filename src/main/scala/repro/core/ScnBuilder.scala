@@ -25,9 +25,6 @@ import Model._
   */
 object ScnBuilder {
 
-  def vidOfComp(name: String, comp: Int): String = s"$name#c$comp"
-  def vidOfSingleton(name: String, pid: Long): String = s"$name#p$pid"
-
   /** Per-name SCR-partner components. Output: one row per (name, partner). */
   def neighborComponents(spark: SparkSession, scrs: DataFrame): Dataset[NeighborComp] = {
     import spark.implicits._
@@ -72,16 +69,14 @@ object ScnBuilder {
   /** Full SCN from the paper database. */
   def build(spark: SparkSession, authorships: DataFrame, eta: Int): Scn = {
     val occ = authorships.select("pid", "name").distinct().cache()
-    val scrs = Scr.mine(authorships, eta).cache()
+    // One self-join feeds both the η-SCR counts and the in-paper SCR pairs.
+    val paperPairs = Scr.paperPairs(authorships).cache()
+    val scrs = Scr.fromPaperPairs(paperPairs, eta).cache()
     val nc = neighborComponents(spark, scrs).toDF().cache()
     val edges = instanceEdges(scrs, nc)
 
     // SCR name pairs present inside each paper's co-author list.
-    val l = occ.as("l"); val r = occ.as("r")
-    val pairsInPaper = l
-      .join(r, col("l.pid") === col("r.pid") && col("l.name") < col("r.name"))
-      .select(col("l.pid").as("pid"), col("l.name").as("a"), col("r.name").as("b"))
-      .join(scrs, Seq("a", "b"))
+    val pairsInPaper = paperPairs.join(scrs, Seq("a", "b"))
 
     // Both directions: for occurrence (pid, name), `partner` is an SCR mate
     // present in the same paper.
@@ -109,10 +104,11 @@ object ScnBuilder {
       )
 
     val vertexPapers = assigned.unionByName(singletons).cache()
+    // Every component is an edge endpoint, papers or not; its name comes
+    // from `nc`, never from parsing the vid (names may contain '#').
     val vertices = vertexPapers
       .select("vid", "name")
-      .union(edges.select(col("src").as("vid"), split(col("src"), "#").getItem(0).as("name")))
-      .union(edges.select(col("dst").as("vid"), split(col("dst"), "#").getItem(0).as("name")))
+      .union(nc.select(concat(col("name"), lit("#c"), col("comp")).as("vid"), col("name")))
       .distinct()
 
     Scn(vertices, edges, vertexPapers, nc)

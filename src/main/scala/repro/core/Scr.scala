@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** η-Stable Collaborative Relation (SCR) mining — Stage I, Step I of IUAD.
@@ -11,61 +11,41 @@ import org.apache.spark.sql.functions._
   * FP-growth; for 2-itemsets FP-growth degenerates to exact pair counting,
   * which we express directly in the DataFrame API (a self-join on pid with a
   * canonical name ordering). `ScrSpec` asserts equivalence against
-  * `spark.ml.fpm.FPGrowth` and against the DuckDB oracle.
+  * `spark.ml.fpm.FPGrowth` and against the DuckDB oracle. The self-join rows
+  * are exposed as [[paperPairs]] because the SCN build also reads which SCR
+  * pairs share each paper.
   */
 object Scr {
 
-  /** Canonicalised co-occurrence counts for every name pair.
+  /** Every name pair inside one co-author list.
     *
     * @param authorships (pid, name, ...) one row per (paper, name) occurrence
-    * @return (a, b, cnt) with a < b lexicographically
+    * @return (pid, a, b) with a < b lexicographically
     *
     * A name can appear at most once per paper in well-formed input; duplicate
     * occurrences (two same-name authors on one paper) are collapsed first so
     * a pair is counted once per paper, matching itemset semantics.
     */
-  def pairCounts(authorships: DataFrame): DataFrame = {
+  def paperPairs(authorships: DataFrame): DataFrame = {
     val occ = authorships.select("pid", "name").distinct()
     val l = occ.as("l")
     val r = occ.as("r")
     l.join(r, col("l.pid") === col("r.pid") && col("l.name") < col("r.name"))
-      .select(col("l.name").as("a"), col("r.name").as("b"))
+      .select(col("l.pid").as("pid"), col("l.name").as("a"), col("r.name").as("b"))
+  }
+
+  /** η-SCRs from [[paperPairs]] rows: (a, b, cnt) with a < b and cnt >= eta. */
+  def fromPaperPairs(paperPairs: DataFrame, eta: Int): DataFrame = {
+    require(eta >= 1, s"support threshold must be >= 1, got $eta")
+    paperPairs
       .groupBy("a", "b")
       .agg(count(lit(1)).as("cnt"))
-  }
-
-  /** All η-SCRs: (a, b, cnt) with a < b and cnt >= eta. */
-  def mine(authorships: DataFrame, eta: Int): DataFrame = {
-    require(eta >= 1, s"support threshold must be >= 1, got $eta")
-    pairCounts(authorships).where(col("cnt") >= eta)
-  }
-
-  /** Reference implementation through Spark MLlib's FP-growth, kept for the
-    * equivalence test — production code uses [[mine]] (exact and cheaper for
-    * the 2-itemset-only case).
-    */
-  def mineViaFpGrowth(spark: SparkSession, authorships: DataFrame, eta: Int): DataFrame = {
-    import spark.implicits._
-    val nTx = authorships.select("pid").distinct().count()
-    val transactions = authorships
-      .select("pid", "name")
-      .distinct()
-      .groupBy("pid")
-      .agg(collect_list("name").as("items"))
-    val model = new org.apache.spark.ml.fpm.FPGrowth()
-      .setItemsCol("items")
-      .setMinSupport(math.max(eta.toDouble / nTx.toDouble, 1e-12))
-      .setMinConfidence(0.0)
-      .fit(transactions)
-    model.freqItemsets
-      .where(size(col("items")) === 2)
-      .select(
-        array_min(col("items")).as("a"),
-        array_max(col("items")).as("b"),
-        col("freq").as("cnt"),
-      )
       .where(col("cnt") >= eta)
   }
+
+  /** All η-SCRs of a corpus: (a, b, cnt) with a < b and cnt >= eta. */
+  def mine(authorships: DataFrame, eta: Int): DataFrame =
+    fromPaperPairs(paperPairs(authorships), eta)
 
   /** Stable collaborative triangles: name triples where all three pairs are
     * η-SCRs (used for higher-order SCN merging and for γ2's clique lists).

@@ -132,9 +132,10 @@ object Similarity {
 
   /** All candidate same-name vertex pairs with similarity vectors, computed
     * per name group ("per partition"). Names with more than `maxPerName`
-    * vertices are truncated to the most prolific ones (logged via counter
-    * column) to bound the quadratic blow-up — the paper's DBLP run never hits
-    * this at our scales.
+    * vertices are truncated to the most prolific ones to bound the quadratic
+    * blow-up. The cap is silent: nothing here counts what it drops.
+    * `perfbench` reports it as `pairs.truncated_vertices`, and ROADMAP item 4
+    * replaces it.
     */
   def candidatePairs(
       spark: SparkSession,

@@ -14,16 +14,10 @@ object WlKernel {
 
   /** WL feature counts for vertex `vid`.
     *
-    * @param adj   instance-level adjacency (undirected; missing key = isolated)
-    * @param label vertex id → initial label (the author name)
-    * @param h     number of WL refinement iterations (h >= 0)
+    * @param adj instance-level adjacency (undirected; missing key = isolated)
+    * @param h   number of WL refinement iterations (h >= 0)
     */
-  def features(
-      vid: String,
-      adj: Map[String, Array[String]],
-      label: Map[String, String],
-      h: Int,
-  ): Map[String, Int] = {
+  def features(vid: String, adj: Map[String, Array[String]], h: Int): Map[String, Int] = {
     require(h >= 0, s"WL iterations must be >= 0, got $h")
     val nbrs = adj.getOrElse(vid, Array.empty[String])
     val ego: Array[String] = (vid +: nbrs).distinct
@@ -31,7 +25,11 @@ object WlKernel {
     val egoAdj: Map[String, Array[String]] =
       ego.map(u => u -> adj.getOrElse(u, Array.empty[String]).filter(inEgo.contains)).toMap
 
-    def labelOf(u: String): String = label.getOrElse(u, u.takeWhile(_ != '#'))
+    // Initial label: the author name, i.e. the vid up to its last '#'.
+    def labelOf(u: String): String = {
+      val i = u.lastIndexOf('#')
+      if (i < 0) u else u.substring(0, i)
+    }
 
     var cur: Map[String, String] = ego.map(u => u -> s"0|${labelOf(u)}").toMap
     val counts = scala.collection.mutable.HashMap.empty[String, Int]

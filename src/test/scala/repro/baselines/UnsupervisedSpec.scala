@@ -7,7 +7,6 @@ import repro.dblp.DblpSynth
 import Baselines.PaperRec
 
 class UnsupervisedSpec extends SparkSpec {
-  import spark.implicits._
 
   /** Hand-built ego-network: two authors share a name; author A works with
     * {alice, bob} on topic 0 at venue v0; author B with {carol, dave} on

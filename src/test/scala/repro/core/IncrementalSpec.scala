@@ -91,7 +91,8 @@ class IncrementalSpec extends SparkSpec {
     val clusterArr = clusters.collect()
     val byName = clusterArr.groupBy(_.name)
     val judged = incremental.limit(20).collect()
-    val newOcc = Baseline2.newProfiles(spark, papersNew, authNew)
+    val newOcc = Incremental.newProfiles(spark, papersNew, authNew, wlIters = 2)
+      .collect().map(p => (p.pids.head, p.name) -> p).toMap
     judged.foreach { row =>
       val pid = row.getLong(0); val name = row.getString(1); val cluster = row.getString(2)
       byName.get(name).foreach { cands =>
@@ -104,27 +105,18 @@ class IncrementalSpec extends SparkSpec {
       }
     }
   }
-}
 
-/** Helper to rebuild new-occurrence profiles outside [[Incremental]] for the
-  * argmax cross-check.
-  */
-object Baseline2 {
-  import org.apache.spark.sql.{DataFrame, SparkSession}
-
-  def newProfiles(spark: SparkSession, papersNew: DataFrame, authNew: DataFrame): Map[(Long, String), Model.VertexProfile] = {
-    import spark.implicits._
-    val coLists = authNew.select("pid", "name").distinct()
-      .groupBy("pid").agg(collect_list("name").as("allNames"))
-    authNew.select("pid", "name").distinct()
-      .join(papersNew.select("pid", "title", "venue", "year"), Seq("pid"))
-      .join(coLists, Seq("pid"))
-      .as[(Long, String, Seq[String], String, Int, Seq[String])]
-      .collect()
-      .map { case (pid, name, title, venue, year, allNames) =>
-        (pid, name) -> Incremental.newOccurrenceProfile(
-          pid, name, title, venue, year, allNames.filterNot(_ == name), 2)
-      }
-      .toMap
+  test("a new occurrence's profile is the batch fold of its singleton vertex") {
+    // The held-out corpus alone with an unreachable eta: every occurrence is a
+    // `name#p<pid>` singleton vertex with its batch profile.
+    val singletons = ScnBuilder.build(spark, authNew, eta = Int.MaxValue)
+    val batch = Profiles.build(spark, singletons, papersNew, authNew, wlIters = 2)
+      .collect().map(p => (p.pids, p.name) -> p.copy(vid = "")).toMap
+    val judged = Incremental.newProfiles(spark, papersNew, authNew, wlIters = 2).collect()
+    assert(judged.length.toLong === authNew.select("pid", "name").distinct().count())
+    judged.foreach { p =>
+      assert(p.vid === s"${p.name}#new${p.pids.head}")
+      assert(p.copy(vid = "") === batch((p.pids, p.name)), p.vid)
+    }
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.dblp.DblpSynth
 
 class ProfilesSpec extends SparkSpec {
@@ -14,6 +15,30 @@ class ProfilesSpec extends SparkSpec {
   }
   private lazy val scn = ScnBuilder.build(spark, authDf, 3)
   private lazy val profiles = Profiles.build(spark, scn, papersDf, authDf, wlIters = 2).cache()
+
+  test("oracle: occurrence table matches DuckDB, one row per (pid, name)") {
+    val occ = Profiles.occurrences(papersDf, authDf)
+    Oracle.assertEquivalent(
+      occ.select(col("pid"), col("name"), col("venue"), col("year"), array_join(col("coNames"), ",").as("co")),
+      """SELECT o.pid, o.name, p.venue, p.year,
+        |       coalesce(string_agg(c.name, ',' ORDER BY c.name), '') AS co
+        |FROM (SELECT DISTINCT pid, name FROM auth) o
+        |JOIN papers p ON p.pid = o.pid
+        |LEFT JOIN (SELECT DISTINCT pid, name FROM auth) c ON c.pid = o.pid AND c.name <> o.name
+        |GROUP BY o.pid, o.name, p.venue, p.year""".stripMargin,
+      "auth" -> authDf.select("pid", "name"),
+      "papers" -> papersDf.select("pid", "venue", "year"),
+    )
+    occ.as[Model.OccurrenceRow].collect().foreach { o =>
+      assert(o.coNames === o.coNames.sorted && !o.coNames.contains(o.name), s"${o.pid}/${o.name}")
+    }
+  }
+
+  test("duplicate authorship rows give the same occurrence table") {
+    def table(auth: DataFrame) =
+      Profiles.occurrences(papersDf, auth).as[Model.OccurrenceRow].collect().sortBy(o => (o.pid, o.name)).toSeq
+    assert(table(authDf.union(authDf)) === table(authDf))
+  }
 
   test("one profile per vertex with papers") {
     val nVertsWithPapers = scn.vertexPapers.select("vid").distinct().count()

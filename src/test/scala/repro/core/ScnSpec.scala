@@ -90,6 +90,21 @@ class ScnSpec extends SparkSpec {
     assert(dup === 0L)
   }
 
+  test("a name containing '#' in an SCR yields one vertex row per vid") {
+    val lists = Seq(Seq("C#x", "y"), Seq("C#x", "y"), Seq("C#x", "z"))
+    val a = lists.zipWithIndex
+      .flatMap { case (names, pid) => names.map(n => (pid.toLong, n)) }
+      .toDF("pid", "name")
+    val scn = ScnBuilder.build(spark, a, 2)
+    val verts = scn.vertices.as[(String, String)].collect()
+    assert(verts.map(_._1).distinct.length === verts.length, verts.mkString(","))
+    assert(verts.collect { case (vid, name) if vid.startsWith("C#x#") => name }.toSet === Set("C#x"))
+    val noMerges = GcnBuilder.clusterMapping(spark, scn.vertices, spark.emptyDataset[Model.ScoredPair], 0.0)
+    val assigned = GcnBuilder.assignment(scn.vertexPapers, noMerges).as[(Long, String, String)].collect()
+    assert(assigned.length === a.count())
+    assert(assigned.map(r => (r._1, r._2)).distinct.length === assigned.length)
+  }
+
   test("assignment prefers the strongest SCR partner") {
     // name x co-authors with y (3 papers) and z (2 papers); y and z are not
     // SCR-connected, so x has two components. A paper with both y and z must

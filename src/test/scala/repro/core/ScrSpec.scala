@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.dblp.DblpSynth
@@ -10,9 +11,34 @@ class ScrSpec extends SparkSpec {
   private def auth(rows: (Long, String)*) =
     rows.toDF("pid", "name")
 
+  /** Reference η-SCR miner through Spark MLlib's FP-growth: the paper's
+    * algorithm, which `Scr.mine` replaces with exact pair counting.
+    */
+  private def mineViaFpGrowth(authorships: DataFrame, eta: Int): DataFrame = {
+    val nTx = authorships.select("pid").distinct().count()
+    val transactions = authorships
+      .select("pid", "name")
+      .distinct()
+      .groupBy("pid")
+      .agg(collect_list("name").as("items"))
+    val model = new org.apache.spark.ml.fpm.FPGrowth()
+      .setItemsCol("items")
+      .setMinSupport(math.max(eta.toDouble / nTx.toDouble, 1e-12))
+      .setMinConfidence(0.0)
+      .fit(transactions)
+    model.freqItemsets
+      .where(size(col("items")) === 2)
+      .select(
+        array_min(col("items")).as("a"),
+        array_max(col("items")).as("b"),
+        col("freq").as("cnt"),
+      )
+      .where(col("cnt") >= eta)
+  }
+
   test("pair counts on a tiny hand-built corpus") {
     val a = auth((1L, "a"), (1L, "b"), (2L, "a"), (2L, "b"), (3L, "a"), (3L, "c"))
-    val got = Scr.pairCounts(a).as[(String, String, Long)].collect().toSet
+    val got = Scr.mine(a, 1).as[(String, String, Long)].collect().toSet
     assert(got === Set(("a", "b", 2L), ("a", "c", 1L)))
   }
 
@@ -29,13 +55,13 @@ class ScrSpec extends SparkSpec {
 
   test("pairs are canonical (a < b) and symmetric input collapses") {
     val a = auth((1L, "z"), (1L, "a"), (2L, "a"), (2L, "z"))
-    val got = Scr.pairCounts(a).as[(String, String, Long)].collect().toSet
+    val got = Scr.mine(a, 1).as[(String, String, Long)].collect().toSet
     assert(got === Set(("a", "z", 2L)))
   }
 
   test("duplicate (pid, name) occurrences count once per paper") {
     val a = auth((1L, "a"), (1L, "a"), (1L, "b"))
-    val got = Scr.pairCounts(a).as[(String, String, Long)].collect().toSet
+    val got = Scr.mine(a, 1).as[(String, String, Long)].collect().toSet
     assert(got === Set(("a", "b", 1L)))
   }
 
@@ -55,7 +81,7 @@ class ScrSpec extends SparkSpec {
     val (_, a) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 7L))
     val occ = a.select("pid", "name").distinct()
     Oracle.assertEquivalent(
-      Scr.pairCounts(a).withColumn("cnt", col("cnt").cast("string")),
+      Scr.mine(a, 1).withColumn("cnt", col("cnt").cast("string")),
       """SELECT l.name AS a, r.name AS b, CAST(count(*) AS VARCHAR) AS cnt
         |FROM occ l JOIN occ r ON l.pid = r.pid AND l.name < r.name
         |GROUP BY l.name, r.name""".stripMargin,
@@ -67,7 +93,7 @@ class ScrSpec extends SparkSpec {
     val (_, a) = DblpSynth.generate(spark, DblpSynth.Config(sf = 0.002, seed = 9L))
     val eta = 3
     val viaDf = Scr.mine(a, eta).as[(String, String, Long)].collect().toSet
-    val viaFp = Scr.mineViaFpGrowth(spark, a, eta).as[(String, String, Long)].collect().toSet
+    val viaFp = mineViaFpGrowth(a, eta).as[(String, String, Long)].collect().toSet
     assert(viaDf === viaFp)
   }
 

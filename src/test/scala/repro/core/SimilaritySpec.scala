@@ -131,9 +131,9 @@ class SimilaritySpec extends SparkSpec {
   test("all gammas are finite and non-negative on arbitrary profiles") {
     val p1 = prof("a#c0", pids = Seq(1, 2), wordYears = Seq(("rare", 2000), ("t0_w1", 2001)),
       venues = Seq("v0", "v1"), cliques = Seq(Profiles.encodeClique("x", "y")),
-      wl = WlKernel.features("a#c0", Map.empty, Map.empty, 2))
+      wl = WlKernel.features("a#c0", Map.empty, 2))
     val p2 = prof("a#c1", pids = Seq(3), wordYears = Seq(("common", 1995)),
-      venues = Seq("gv0"), wl = WlKernel.features("a#c1", Map.empty, Map.empty, 2))
+      venues = Seq("gv0"), wl = WlKernel.features("a#c1", Map.empty, 2))
     val g = Similarity.gamma(p1, p2, stats)
     g.foreach { x => assert(!x.isNaN && !x.isInfinite && x >= 0.0, s"bad gamma: ${g.toSeq}") }
   }

@@ -28,7 +28,6 @@ class DblpSynthSpec extends SparkSpec {
   }
 
   test("authorships reference valid author ids") {
-    import spark.implicits._
     val bad = authDf.filter(col("authorId") < 0 || col("authorId") >= cfg.nAuthors).count()
     assert(bad === 0L)
   }
@@ -120,12 +119,6 @@ class DblpSynthSpec extends SparkSpec {
       "SELECT name, count(*) AS n FROM auth GROUP BY name",
       "auth" -> authDf.select("pid", "name"),
     )
-  }
-
-  test("SynthData.dblp hook delegates to the generator") {
-    val (p, a) = repro.SynthData.dblp(spark, sf = 0.003, seed = 42L)
-    assert(p.count() === papersDf.count())
-    assert(a.count() === authDf.count())
   }
 
   test("testing subset shape: ambiguous names with multiple true authors exist") {
