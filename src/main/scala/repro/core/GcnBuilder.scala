@@ -9,7 +9,7 @@ import Model._
   * and merge accepted pairs into global-collaboration-network clusters.
   *
   * Scoring is distributed (broadcast model, posterior per partition); merging
-  * is a driver-side union-find on the *accepted* pairs only, which are few.
+  * is a per-name union-find on the *accepted* pairs, also on the executors.
   */
 object GcnBuilder {
 
@@ -24,7 +24,8 @@ object GcnBuilder {
   }
 
   /** Cluster mapping: vid → gcnId (canonical min member vid) from accepted
-    * pairs (score ≥ δ). Vertices in no accepted pair map to themselves.
+    * pairs (score ≥ δ), one union-find per name (pairs never cross names).
+    * Vertices in no accepted pair map to themselves.
     */
   def clusterMapping(
       spark: SparkSession,
@@ -33,20 +34,18 @@ object GcnBuilder {
       delta: Double,
   ): DataFrame = {
     import spark.implicits._
-    val accepted = scored.filter(_.score >= delta).map(sp => (sp.vi, sp.vj)).collect()
-    val uf = new UnionFind[String]
-    accepted.foreach { case (a, b) => uf.union(a, b) }
-    // Canonical cluster id = min vid in the component.
-    val groups = uf.groups().map(_.sorted)
-    val mapping: Map[String, String] =
-      groups.flatMap(g => g.map(v => v -> g.head)).toMap
-    val bMap = spark.sparkContext.broadcast(mapping)
-    val toCluster = udf((vid: String) => bMap.value.getOrElse(vid, vid))
-    vertices.select(
-      col("vid"),
-      col("name"),
-      toCluster(col("vid")).as("cluster"),
-    )
+    val merged = scored
+      .filter(_.score >= delta)
+      .groupByKey(_.name)
+      .flatMapGroups { (_, it) =>
+        val uf = new UnionFind[String]
+        it.foreach(sp => uf.union(sp.vi, sp.vj))
+        uf.groups().iterator.flatMap { g => val c = g.min; g.map(_ -> c) }
+      }
+      .toDF("vid", "cluster")
+    vertices
+      .join(merged, Seq("vid"), "left")
+      .select(col("vid"), col("name"), coalesce(col("cluster"), col("vid")).as("cluster"))
   }
 
   /** Paper-occurrence level assignment: (pid, name, cluster). */

@@ -24,8 +24,6 @@ object Iuad {
       delta: Double = 25.0,
       sampleFrac: Double = 0.1,
       minTrainPairs: Int = 200,
-      splitMinPapers: Int = 6,
-      splitMaxVertices: Int = 300,
       seed: Long = 7L,
       em: Em.Config = Em.Config(),
   )
@@ -42,9 +40,15 @@ object Iuad {
       scnAssignment: DataFrame,  // SCN-only: (pid, name, cluster=vid)
   )
 
-  /** Matched training pairs from randomly splitting prolific SCN vertices in
-    * two (balances the heavy unmatched majority, §V-F.2). Pseudo-profiles are
-    * built through the same [[Profiles]] fold as real ones.
+  /** Split-vertex balancing uses at most 300 vertices with ≥ 6 papers. */
+  val SplitMinPapers = 6
+  val SplitMaxVertices = 300
+
+  /** Matched training pairs from splitting prolific SCN vertices in two by
+    * pid parity (balances the heavy unmatched majority, §V-F.2): one vector
+    * per chosen vertex, in (abs(hash(vid, seed)), vid) order. Both halves go
+    * through [[Profiles.fold]] and carry the vertex's lone-ego WL features;
+    * a vertex with an empty half yields no pair.
     */
   def splitVertexPairs(
       spark: SparkSession,
@@ -55,33 +59,32 @@ object Iuad {
       cfg: Config,
   ): Array[Array[Double]] = {
     import spark.implicits._
-    val eligible = scn.vertexPapers
+    val order = abs(hash(col("vid"), lit(cfg.seed)))
+    val chosen = scn.vertexPapers
       .groupBy("vid")
       .agg(countDistinct("pid").as("n"))
-      .where(col("n") >= cfg.splitMinPapers)
-      .orderBy(abs(hash(col("vid"), lit(cfg.seed))), col("vid"))
-      .limit(cfg.splitMaxVertices)
+      .where(col("n") >= SplitMinPapers)
+      .orderBy(order, col("vid"))
+      .limit(SplitMaxVertices)
       .select("vid")
-    val chosen = eligible.as[String].collect().toSet
-    if (chosen.isEmpty) return Array.empty
-
-    val pseudoVp = scn.vertexPapers
-      .filter(col("vid").isInCollection(chosen))
-      .withColumn(
-        "vid",
-        concat(col("vid"), when(pmod(col("pid") + lit(cfg.seed), lit(2)) === 0, lit("/s0")).otherwise(lit("/s1"))),
-      )
-    val pseudoScn = Scn(scn.vertices, scn.edges, pseudoVp, scn.neighborComp)
-    val pseudo = Profiles
-      .buildBase(spark, pseudoScn, papers, authorships)
-      .map(p => p.copy(wl = WlKernel.features(p.vid, Map.empty, cfg.wlIters)))
+    val bStats = spark.sparkContext.broadcast(stats)
+    Profiles
+      .vertexRows(spark, scn.vertexPapers.join(chosen, "vid"), papers, authorships)
+      .flatMapGroups { (vid, it) =>
+        val (rows0, rows1) = it.toSeq.partition(r => java.lang.Math.floorMod(r.pid + cfg.seed, 2L) == 0L)
+        if (rows0.isEmpty || rows1.isEmpty) Iterator.empty
+        else {
+          val wl = WlKernel.features(vid, Map.empty, cfg.wlIters)
+          def half(rows: Seq[OccurrenceRow]) = Profiles.fold(vid, rows).copy(wl = wl)
+          Iterator.single((vid, Similarity.gamma(half(rows0), half(rows1), bStats.value).toSeq))
+        }
+      }
+      .toDF("vid", "g")
+      .select(order, col("vid"), col("g"))
+      .as[(Int, String, Seq[Double])]
       .collect()
-
-    pseudo
-      .groupBy(_.vid.split("/s").head)
-      .valuesIterator
-      .collect { case Array(a, b) => Similarity.gamma(a, b, stats) }
-      .toArray
+      .sortBy { case (o, vid, _) => (o, vid) }
+      .map(_._3.toArray)
   }
 
   def run(spark: SparkSession, papers: DataFrame, authorships: DataFrame, cfg: Config = Config()): Result = {

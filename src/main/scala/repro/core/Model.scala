@@ -54,7 +54,6 @@ object Model {
       pids: Seq[Long],
       wordYears: Seq[(String, Int)],
       venues: Seq[String],
-      years: Seq[Int],
       cliques: Seq[String],
       wl: Map[String, Int],
   ) {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, KeyValueGroupedDataset, SparkSession}
 import org.apache.spark.sql.functions._
 import Model._
 
@@ -48,7 +48,6 @@ object Profiles {
       pids = byPid.map(_.pid),
       wordYears = byPid.flatMap(r => r.title.map(w => (w, r.year))),
       venues = byPid.map(_.venue).sorted,
-      years = byPid.map(_.year).sorted,
       cliques = byPid.flatMap { r =>
         val cs = r.coNames
         for (i <- cs.indices; j <- (i + 1) until cs.size) yield encodeClique(cs(i), cs(j))
@@ -57,16 +56,25 @@ object Profiles {
     )
   }
 
-  /** Profiles without WL features (wl left empty). */
-  def buildBase(spark: SparkSession, scn: Scn, papers: DataFrame, authorships: DataFrame): Dataset[VertexProfile] = {
+  /** Each vertex's occurrence rows, grouped by vid: what [[fold]] reads.
+    * `vertexPapers` holds (vid, name, pid) rows, as in [[Model.Scn]].
+    */
+  def vertexRows(spark: SparkSession, vertexPapers: DataFrame, papers: DataFrame, authorships: DataFrame)
+      : KeyValueGroupedDataset[String, OccurrenceRow] = {
     import spark.implicits._
     val occ = occurrences(papers, authorships)
-    scn.vertexPapers
+    vertexPapers
       .join(occ, Seq("pid", "name"))
       .select(col("vid"), struct(occ.columns.map(col).toIndexedSeq: _*))
       .as[(String, OccurrenceRow)]
       .groupByKey(_._1)
-      .mapGroups((vid, it) => fold(vid, it.map(_._2).toSeq))
+      .mapValues(_._2)
+  }
+
+  /** Profiles without WL features (wl left empty). */
+  def buildBase(spark: SparkSession, scn: Scn, papers: DataFrame, authorships: DataFrame): Dataset[VertexProfile] = {
+    import spark.implicits._
+    vertexRows(spark, scn.vertexPapers, papers, authorships).mapGroups((vid, it) => fold(vid, it.toSeq))
   }
 
   /** Attach WL features using the broadcast SCN adjacency. */
@@ -105,9 +113,12 @@ object Profiles {
   /** Merge several profiles into one (used when GCN clusters vertices and in
     * the incremental judge). WL maps are summed — an approximation of the
     * merged vertex's ego features, adequate because γ1 is normalised.
+    * Members are taken in vid order, so the result does not depend on the
+    * order they arrive in (`wordYears` order feeds γ3's floating-point mean).
     */
-  def merge(vid: String, ps: Seq[VertexProfile]): VertexProfile = {
-    require(ps.nonEmpty, "merge of zero profiles")
+  def merge(vid: String, members: Seq[VertexProfile]): VertexProfile = {
+    require(members.nonEmpty, "merge of zero profiles")
+    val ps = members.sortBy(_.vid)
     val wl = ps.foldLeft(Map.empty[String, Int]) { (acc, p) =>
       p.wl.foldLeft(acc) { case (a, (k, c)) => a.updated(k, a.getOrElse(k, 0) + c) }
     }
@@ -117,7 +128,6 @@ object Profiles {
       pids = ps.flatMap(_.pids).distinct.sorted,
       wordYears = ps.flatMap(_.wordYears),
       venues = ps.flatMap(_.venues).sorted,
-      years = ps.flatMap(_.years).sorted,
       cliques = ps.flatMap(_.cliques).distinct.sorted,
       wl = wl,
     )

@@ -24,15 +24,14 @@ object Similarity {
 
   val NumFeatures = 6
 
+  /** γ4's year-decay factor α (Eq. 7). */
+  val Alpha = 0.62
+
   /** Corpus-level frequencies used by γ4 (FB) and γ6 (FH). */
-  final case class GlobalStats(
-      wordFreq: Map[String, Long],
-      venueFreq: Map[String, Long],
-      alpha: Double = 0.62,
-  )
+  final case class GlobalStats(wordFreq: Map[String, Long], venueFreq: Map[String, Long])
 
   /** Compute FB(b) and FH(h) from the papers table (oracle-checked). */
-  def globalStats(spark: SparkSession, papers: DataFrame, alpha: Double = 0.62): GlobalStats = {
+  def globalStats(spark: SparkSession, papers: DataFrame): GlobalStats = {
     import spark.implicits._
     val wf = papers
       .select(explode(col("title")).as("w"))
@@ -47,7 +46,7 @@ object Similarity {
       .as[(String, Long)]
       .collect()
       .toMap
-    GlobalStats(wf, vf, alpha)
+    GlobalStats(wf, vf)
   }
 
   private def safeLogInv(f: Long): Double = 1.0 / math.log(math.max(f, 2L).toDouble)
@@ -83,7 +82,7 @@ object Similarity {
     val common = yi.keySet.intersect(yj.keySet)
     val s = common.iterator.map { b =>
       val minDiff = (for (a <- yi(b); c <- yj(b)) yield math.abs(a - c)).min
-      math.exp(-stats.alpha * minDiff) * safeLogInv(stats.wordFreq.getOrElse(b, 1L))
+      math.exp(-Alpha * minDiff) * safeLogInv(stats.wordFreq.getOrElse(b, 1L))
     }.sum
     s / tau(pi, pj)
   }

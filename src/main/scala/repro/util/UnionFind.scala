@@ -3,8 +3,8 @@ package repro.util
 import scala.collection.mutable
 
 /** Union-find (disjoint set) over arbitrary keys, with path compression and
-  * union by rank. Driver-light: used per name-group inside `mapGroups` and on
-  * the small accepted-merge edge sets, never over the full paper corpus.
+  * union by rank. Driver-light: used per name-group inside `mapGroups` (SCR
+  * neighbour components, accepted GCN merges), never over the full corpus.
   */
 final class UnionFind[K] {
   private val parent = mutable.HashMap.empty[K, K]
@@ -34,12 +34,6 @@ final class UnionFind[K] {
   }
 
   def connected(a: K, b: K): Boolean = find(a) == find(b)
-
-  /** All keys ever touched. */
-  def keys: Iterable[K] = parent.keys
-
-  /** Map from key to canonical representative, for every known key. */
-  def components(): Map[K, K] = parent.keys.map(k => k -> find(k)).toMap
 
   /** Groups of keys, one Seq per component. */
   def groups(): Seq[Seq[K]] =

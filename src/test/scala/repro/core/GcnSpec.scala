@@ -1,9 +1,11 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalacheck.Gen
+import repro.{PropChecks, SparkSpec}
+import repro.util.UnionFind
 import Model._
 
-class GcnSpec extends SparkSpec {
+class GcnSpec extends SparkSpec with PropChecks {
   import spark.implicits._
 
   private val model = Em.EmModel(
@@ -75,5 +77,44 @@ class GcnSpec extends SparkSpec {
     val assign = GcnBuilder.assignment(vp, mapping)
       .orderBy("pid").as[(Long, String, String)].collect()
     assert(assign.toSeq === Seq((1L, "a", "a#c0"), (2L, "a", "a#c0")))
+  }
+
+  test("property: clusterMapping equals a driver-side union-find over accepted pairs") {
+    val names = Seq("a", "b", "c#x")
+    val vertices = for (n <- names; i <- 0 to 6) yield (s"$n#v$i", n)
+    // v6 of each name is in no pair; pairs never cross names.
+    val pairGen = for {
+      name <- Gen.oneOf(names)
+      i <- Gen.choose(0, 5)
+      k <- Gen.choose(0, 4)
+      score <- Gen.oneOf(Gen.choose(-5.0, 5.0), Gen.const(0.0))
+    } yield {
+      val j = if (k >= i) k + 1 else k
+      ScoredPair(name, s"$name#v${math.min(i, j)}", s"$name#v${math.max(i, j)}", score)
+    }
+    def oracle(pairs: Seq[ScoredPair], delta: Double): Map[String, String] = {
+      val uf = new UnionFind[String]
+      pairs.filter(_.score >= delta).foreach(p => uf.union(p.vi, p.vj))
+      val root = uf.groups().flatMap(g => g.map(_ -> g.min)).toMap
+      vertices.map { case (vid, _) => vid -> root.getOrElse(vid, vid) }.toMap
+    }
+    val vertexDf = vertices.toDF("vid", "name")
+    val saved = spark.conf.get("spark.sql.shuffle.partitions")
+    try {
+      for (parts <- Seq(1, 8)) {
+        spark.conf.set("spark.sql.shuffle.partitions", parts.toLong)
+        forAll(Gen.listOf(pairGen), samples = 8) { pairs =>
+          for (delta <- Seq(Double.NegativeInfinity, 0.0, Double.PositiveInfinity)) {
+            val rows = GcnBuilder.clusterMapping(spark, vertexDf, pairs.toDS(), delta)
+              .as[(String, String, String)].collect()
+            assert(rows.length === vertices.size)
+            assert(rows.map(r => r._1 -> r._3).toMap === oracle(pairs, delta), s"δ=$delta, $parts partitions")
+            rows.groupBy(_._3).foreach { case (c, rs) =>
+              assert(rs.map(_._2).distinct.length === 1, s"cluster $c spans names")
+            }
+          }
+        }
+      }
+    } finally spark.conf.set("spark.sql.shuffle.partitions", saved)
   }
 }

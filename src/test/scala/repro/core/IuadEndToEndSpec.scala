@@ -82,6 +82,21 @@ class IuadEndToEndSpec extends SparkSpec {
     known.foreach(g => assert(g.length === Similarity.NumFeatures))
   }
 
+  test("split-vertex pairs keep every vertex, even when names contain '/s'") {
+    // Three co-author pairs, six papers each: six SCR vertices with 6 papers.
+    val pairs = Seq(("A/sx", "Bx", 1L), ("A/sy", "By", 11L), ("C", "D", 21L))
+    val auth = pairs.flatMap { case (a, b, p0) => (p0 until p0 + 6).flatMap(pid => Seq((pid, a), (pid, b))) }
+      .toDF("pid", "name")
+    val papers = pairs.flatMap { case (_, _, p0) => (p0 until p0 + 6) }
+      .map(pid => DblpSynth.Paper(pid, Seq(s"w$pid", "topic"), s"v${pid % 3}", 2000 + pid.toInt % 4))
+      .toDF()
+    val scn = ScnBuilder.build(spark, auth, 3)
+    val known = Iuad.splitVertexPairs(spark, scn, papers, auth, Similarity.globalStats(spark, papers),
+      Iuad.Config(eta = 3, seed = 7L))
+    assert(known.length === 6)
+    known.foreach(g => assert(g(0) === 1.0, g.mkString(",")))
+  }
+
   test("pipeline is deterministic in config and seed") {
     val r2 = Iuad.run(spark, papersDf, authDf, Iuad.Config(eta = 3, seed = 7L))
     val a1 = result.assignment.orderBy("pid", "name").collect().map(_.toString)

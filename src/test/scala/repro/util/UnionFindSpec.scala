@@ -29,20 +29,17 @@ class UnionFindSpec extends SparkSpec with PropChecks {
     assert(uf.groups().size === 1)
   }
 
-  test("components map sends every key to its root") {
+  test("groups hold every key once, one group per root") {
     val uf = new UnionFind[Int]
     uf.union(1, 2); uf.union(3, 4); uf.add(5)
-    val comps = uf.components()
-    assert(comps(1) === comps(2))
-    assert(comps(3) === comps(4))
-    assert(comps(1) !== comps(3))
-    assert(comps(5) === 5)
+    assert(uf.groups().map(_.toSet).toSet === Set(Set(1, 2), Set(3, 4), Set(5)))
+    assert(uf.groups().flatten.sorted === Seq(1, 2, 3, 4, 5))
   }
 
   test("find on unseen key auto-adds it") {
     val uf = new UnionFind[String]
     assert(uf.find("fresh") === "fresh")
-    assert(uf.keys.toSet === Set("fresh"))
+    assert(uf.groups() === Seq(Seq("fresh")))
   }
 
   test("property: union order does not change the partition") {
